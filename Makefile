@@ -43,9 +43,9 @@ mvcc:
 # Bitmap posting-list verification: the bitset fuzz target's seed
 # corpus against the map-of-ints oracle, the operator/ablation matrix
 # and the workload equivalence suite comparing the bitmap pipeline to
-# the row-at-a-time path under the race detector, and a one-repetition
-# smoke of the B1 set-operations experiment (DESIGN.md "Posting lists
-# and vectorized set operations").
+# the DOM oracle under the race detector, and a one-repetition smoke of
+# the B1 set-operations experiment (DESIGN.md "Posting lists and
+# vectorized set operations").
 bitmap:
 	$(GO) test -race -run 'Fuzz|Bitset|Set' -count=1 ./internal/bitset/
 	$(GO) test -race -run 'Bitmap|Postings|ParallelSequentialOracleEquivalence' -count=1 ./internal/catalog/ ./internal/relstore/
@@ -74,7 +74,7 @@ shard:
 
 # Ranked-retrieval verification under the race detector: the tokenizer
 # fuzz target's seed corpus and the BM25 top-k brute-force property
-# test, the ranked equivalence suites (planner strategies vs the DOM
+# test, the ranked equivalence suites (the ranked planner vs the DOM
 # oracle, 1-shard and 4-shard clusters vs a single catalog under
 # globally merged statistics, ranked paging over the wire), the
 # epoch-rebuild and concurrent reader/writer tests, and a one-repetition

@@ -63,7 +63,6 @@ func main() {
 		qWorkers   = flag.Int("query-workers", 0, "worker pool size for intra-query fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSize  = flag.Int("cache-size", 0, "entries per read-cache layer (0 = default)")
 		cacheOff   = flag.Bool("cache-off", false, "disable the generation-stamped read caches")
-		bitmapsOff = flag.Bool("bitmaps-off", false, "evaluate queries on the row-at-a-time oracle path instead of compressed bitmap posting lists")
 		textOff    = flag.Bool("textindex-off", false, "disable the BM25 text index: POST /search rank clauses answer 400, structural queries are unaffected")
 		metricsOn  = flag.Bool("metrics", true, "expose the metrics registry at GET /metrics and record query traces at /debug/tracez")
 		traceDepth = flag.Int("trace-depth", 0, "slow-query trace ring size (0 = default, negative = tracing off)")
@@ -88,7 +87,6 @@ func main() {
 		QueryWorkers:     *qWorkers,
 		CacheSize:        *cacheSize,
 		DisableCache:     *cacheOff,
-		DisableBitmaps:   *bitmapsOff,
 		DisableTextIndex: *textOff,
 		TraceDepth:       *traceDepth,
 	}

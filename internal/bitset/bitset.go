@@ -27,8 +27,8 @@ import (
 // to use; call New. A nil Set behaves as empty for read operations.
 type Set struct {
 	chunks []chunk
-	// last caches the index of the most recently addressed chunk, so
-	// clustered key streams (ascending row IDs, per-object instance
+	// last caches the index of the most recently written chunk, so
+	// clustered insert streams (ascending row IDs, per-object instance
 	// keys) skip the binary search.
 	last int
 }
@@ -43,17 +43,15 @@ type chunk struct {
 func New() *Set { return &Set{} }
 
 // find locates the chunk for hi, returning (index, true) on a hit or
-// the insertion index and false.
+// the insertion index and false. It never writes the set — only Add
+// and AddRange move the last-chunk hint — so lookups are safe on sets
+// shared read-only across goroutines.
 func (s *Set) find(hi uint64) (int, bool) {
 	if s.last < len(s.chunks) && s.chunks[s.last].hi == hi {
 		return s.last, true
 	}
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].hi >= hi })
-	if i < len(s.chunks) && s.chunks[i].hi == hi {
-		s.last = i
-		return i, true
-	}
-	return i, false
+	return i, i < len(s.chunks) && s.chunks[i].hi == hi
 }
 
 // Add inserts key.
@@ -64,8 +62,8 @@ func (s *Set) Add(key uint64) {
 		s.chunks = append(s.chunks, chunk{})
 		copy(s.chunks[i+1:], s.chunks[i:])
 		s.chunks[i] = chunk{hi: hi, c: newArray()}
-		s.last = i
 	}
+	s.last = i
 	s.chunks[i].c.add(lo)
 }
 
@@ -87,8 +85,8 @@ func (s *Set) AddRange(lo, hi uint64) {
 			s.chunks = append(s.chunks, chunk{})
 			copy(s.chunks[i+1:], s.chunks[i:])
 			s.chunks[i] = chunk{hi: cur, c: newArray()}
-			s.last = i
 		}
+		s.last = i
 		s.chunks[i].c.addRange(from, to)
 	}
 }

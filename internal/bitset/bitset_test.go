@@ -3,6 +3,7 @@ package bitset
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -159,6 +160,30 @@ func TestAddContainsAcrossPatterns(t *testing.T) {
 		checkEqual(t, "clone", c, o)
 		_ = pi
 	}
+}
+
+// TestContainsSharedReadOnly runs lookups on one completed set from
+// several goroutines, as evaluations do on a cached posting list; under
+// -race it fails if a lookup writes the set.
+func TestContainsSharedReadOnly(t *testing.T) {
+	s := New()
+	for k := uint64(0); k < 64; k++ {
+		s.Add(k << chunkBits)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := uint64(0); k < 64; k++ {
+				key := ((k + uint64(g)*16) % 64) << chunkBits
+				if !s.Contains(key) || s.Contains(key+1) {
+					t.Errorf("Contains wrong for chunk %d", key>>chunkBits)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestSetOpsAgainstOracle(t *testing.T) {

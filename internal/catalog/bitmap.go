@@ -6,18 +6,17 @@ import (
 	"slices"
 
 	"github.com/gridmeta/hybridcat/internal/bitset"
+	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/relstore"
 )
 
-// Bitmap set algebra for the plan executor's set strategy (exec.go).
-// What flows between the Figure-4 stages under that strategy is a
-// compressed bitset of attribute-instance keys instead of
-// []relstore.Row: probes emit posting lists straight off the B-tree
-// (relstore postings.go), element predicates and the rollup combine
-// them with word-at-a-time ANDs ordered by ascending cardinality, and
-// the intersect stage ANDs per-criterion *object* sets the same way.
-// Any query whose keys cannot be packed falls back to the row strategy
-// per evaluation (errBitmapRange).
+// Bitmap set algebra for the plan executor (exec.go). What flows
+// between the Figure-4 stages is a compressed bitset of
+// attribute-instance keys: probes emit posting lists straight off the
+// B-tree (relstore postings.go), element predicates and the rollup
+// combine them with word-at-a-time ANDs ordered by ascending
+// cardinality, and the intersect stage ANDs per-criterion *object* sets
+// the same way.
 
 // An attribute instance (object_id, seq_id) packs into one uint64 key:
 // object in the high bits, seq in the low instSeqBits. Sequence IDs are
@@ -30,17 +29,46 @@ const (
 	maxInstObject = int64(1)<<(63-instSeqBits) - 1
 )
 
-// errBitmapRange aborts a bitmap evaluation whose IDs cannot be packed
-// into instance keys; evaluateUncached catches it and reruns the query
-// on the row path.
-var errBitmapRange = errors.New("catalog: id out of bitmap instance-key range")
+// ErrInstanceLimit is wrapped by writes whose object ID or attribute
+// sequence number falls outside the instance-key envelope (object IDs
+// up to 2^43-1, sequence numbers up to 2^20-1): the document is not
+// stored. A query over rows that reached the tables without passing the
+// write-boundary check (an applied WAL frame, a loaded snapshot, or a
+// log written before the check existed) fails with it too, rather than
+// answering wrongly.
+var ErrInstanceLimit = errors.New("catalog: id outside the instance-key envelope")
 
 // instKey packs (object, seq) into one set key.
 func instKey(object, seq int64) (uint64, error) {
 	if object < 0 || object > maxInstObject || seq < 0 || seq > instSeqMask {
-		return 0, fmt.Errorf("%w: object %d seq %d", errBitmapRange, object, seq)
+		return 0, fmt.Errorf("%w: object %d seq %d", ErrInstanceLimit, object, seq)
 	}
 	return uint64(object)<<instSeqBits | uint64(seq), nil
+}
+
+// checkEnvelope rejects a shred result for object id unless every
+// instance it stores packs into a key: the attribute rows' seq, the
+// element rows' attribute seq, and both ends of every inverted-list
+// link.
+func checkEnvelope(id int64, res *core.ShredResult) error {
+	lo, hi := 0, 0
+	widen := func(seq int) { lo, hi = min(lo, seq), max(hi, seq) }
+	for _, a := range res.Attrs {
+		widen(a.Seq)
+	}
+	for _, e := range res.Elems {
+		widen(e.AttrSeq)
+	}
+	for _, sa := range res.SubAttrs {
+		widen(sa.ChildSeq)
+		widen(sa.AncSeq)
+	}
+	for _, seq := range []int{lo, hi} {
+		if _, err := instKey(id, int64(seq)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // objectSet projects an instance-key set onto its distinct object IDs.
@@ -152,9 +180,10 @@ func (v *view) rollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error
 	return andAscending(covers), nil
 }
 
-// recursiveRollupSet is the bitmap twin of recursiveRollup: with only
-// depth-1 links stored, each child's cover set is found by chasing
-// parents level by level.
+// recursiveRollupSet is the A1-ablation rollup: with only depth-1 links
+// stored, each child's cover set is found by chasing parents level by
+// level — the per-level self-joins that hinder the edge-table approach
+// (§6).
 func (v *view) recursiveRollupSet(n *qNode, sets map[int]*bitset.Set) (*bitset.Set, error) {
 	subT := v.tab(TSubAttrs)
 	type inst struct{ object, attrID, seq int64 }

@@ -17,18 +17,16 @@ import (
 //     canonical serialization of (Owner, criteria tree),
 //   - resolve: the shredded-and-resolved criteria nodes for the same key,
 //     stamped by the *registry* generation so they survive data ingest,
-//   - probe: per-criterion directly-satisfied instance rows keyed by the
-//     resolved definition IDs and predicates, shared across queries that
-//     repeat a criterion (row-path oracle only),
-//   - postings: the bitmap pipeline's twin of the probe layer — the same
-//     keys, but holding compressed posting lists (*bitset.Set) instead
-//     of row slices; cached sets are immutable and shared read-only
+//   - postings: per-criterion directly-satisfied instance sets
+//     (compressed posting lists, *bitset.Set) keyed by the resolved
+//     definition IDs and predicates, shared across queries that repeat
+//     a criterion; cached sets are immutable and shared read-only
 //     across concurrent evaluations,
 //   - response: per-object rebuilt XML documents keyed by object ID, so
 //     repeated fetches and overlapping result sets skip the §5
 //     HashJoin/ancestor reconstruction.
 //
-// All four are generation-stamped: evaluate/probe/response by the
+// All four are generation-stamped: evaluate/postings/response by the
 // epoch of the reader's pinned snapshot (every committed transaction —
 // ingest, delete, publish, membership, definition mirroring — publishes
 // a new epoch), resolve by the pinned registry generation (bumped by
@@ -57,7 +55,6 @@ const DefaultCacheSize = 4096
 type catCaches struct {
 	eval     *cache.Cache[string, []int64]
 	resolve  *cache.Cache[string, resolvedQuery]
-	probe    *cache.Cache[string, []relstore.Row]
 	postings *cache.Cache[string, *bitset.Set]
 	response *cache.Cache[int64, string]
 }
@@ -81,12 +78,10 @@ func (c *Catalog) initCaches() {
 	}
 	c.caches.eval = cache.New[string, []int64](size, cache.StringHash)
 	c.caches.resolve = cache.New[string, resolvedQuery](size, cache.StringHash)
-	c.caches.probe = cache.New[string, []relstore.Row](size, cache.StringHash)
 	c.caches.postings = cache.New[string, *bitset.Set](size, cache.StringHash)
 	c.caches.response = cache.New[int64, string](size, cache.Int64Hash)
 	c.caches.eval.Instrument(c.obsv.reg, "evaluate")
 	c.caches.resolve.Instrument(c.obsv.reg, "resolve")
-	c.caches.probe.Instrument(c.obsv.reg, "probe")
 	c.caches.postings.Instrument(c.obsv.reg, "postings")
 	c.caches.response.Instrument(c.obsv.reg, "response")
 }
@@ -103,7 +98,6 @@ type CacheStats struct {
 	RegistryGeneration uint64      `json:"registry_generation"`
 	Evaluate           cache.Stats `json:"evaluate"`
 	Resolve            cache.Stats `json:"resolve"`
-	Probe              cache.Stats `json:"probe"`
 	Postings           cache.Stats `json:"postings"`
 	Response           cache.Stats `json:"response"`
 }
@@ -116,7 +110,6 @@ func (c *Catalog) CacheStats() CacheStats {
 		RegistryGeneration: c.Reg.Generation(),
 		Evaluate:           c.caches.eval.Stats(),
 		Resolve:            c.caches.resolve.Stats(),
-		Probe:              c.caches.probe.Stats(),
 		Postings:           c.caches.postings.Stats(),
 		Response:           c.caches.response.Stats(),
 	}
@@ -212,10 +205,11 @@ func writeValueKey(b *strings.Builder, v relstore.Value) {
 	}
 }
 
-// probeKeyOf builds a criteria node's probe-layer key from its resolved
-// definition IDs and predicates. Two nodes with the same key — within
-// one query or across queries — satisfy identical instance sets, so the
-// probe layer memoizes the stage-1+2 rows once per data generation.
+// probeKeyOf builds a criteria node's postings-layer key from its
+// resolved definition IDs and predicates. Two nodes with the same key —
+// within one query or across queries — satisfy identical instance sets,
+// so the postings layer memoizes the stage-1+2 set once per data
+// generation.
 func probeKeyOf(n *qNode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "d%d", n.def.ID)

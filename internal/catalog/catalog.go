@@ -44,11 +44,6 @@ type Options struct {
 	// and forces queries onto a recursive fallback; for the A1 ablation
 	// only.
 	DisableInvertedList bool
-	// DisableBitmaps runs the Figure-4 pipeline on the original
-	// row-at-a-time representation instead of compressed bitmap posting
-	// lists (bitmap.go). The row path is the correctness oracle for the
-	// equivalence suite and the baseline for bench experiment B1.
-	DisableBitmaps bool
 	// QueryWorkers bounds the per-query worker pool that fans out the
 	// Figure-4 per-criterion probes and per-object response construction.
 	// 0 uses runtime.GOMAXPROCS(0); 1 forces the sequential path.
@@ -58,9 +53,9 @@ type Options struct {
 	// catalogs pay no goroutine overhead. 0 uses
 	// DefaultParallelRowThreshold; negative always fans out.
 	ParallelRowThreshold int
-	// CacheSize bounds each read-cache layer (evaluate, resolve, probe,
-	// response) in entries. 0 uses DefaultCacheSize; negative disables
-	// caching entirely.
+	// CacheSize bounds each read-cache layer (evaluate, resolve,
+	// postings, response) in entries. 0 uses DefaultCacheSize; negative
+	// disables caching entirely.
 	CacheSize int
 	// DisableCache turns the generation-stamped read caches off; every
 	// evaluation and response build recomputes from the base tables.
@@ -464,7 +459,14 @@ func (c *Catalog) IngestXML(owner, xml string) (int64, error) {
 	return c.Ingest(owner, doc)
 }
 
+// insertShred stores one shred result for object id. It is the single
+// write funnel for Ingest, IngestBatch and AddAttribute, so it is where
+// the instance-key envelope is enforced: a result that cannot be packed
+// is rejected with ErrInstanceLimit before any row is written.
 func (c *Catalog) insertShred(id int64, res *core.ShredResult) error {
+	if err := checkEnvelope(id, res); err != nil {
+		return err
+	}
 	oid := relstore.Int(id)
 	attrT := c.wtab(TAttrData)
 	for _, a := range res.Attrs {

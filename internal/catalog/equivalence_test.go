@@ -15,13 +15,11 @@ import (
 )
 
 // TestParallelSequentialOracleEquivalence proves the fan-out and the
-// set representation change no results: for 200 seeded workload
-// queries — point, range, nested, structural theme, multi-criteria,
-// and ontology-expanded OneOf — a catalog forced onto the parallel
-// path, a catalog forced sequential (both on the default bitmap
-// posting-list pipeline), a catalog forced onto the row-at-a-time
-// oracle path (DisableBitmaps), and the DOM oracle must agree exactly,
-// and containment-scoped context queries must agree as well.
+// bitmap pipeline change no results: for 200 seeded workload queries —
+// point, range, nested, structural theme, multi-criteria, and
+// ontology-expanded OneOf — a catalog forced onto the parallel path, a
+// catalog forced sequential, and the DOM oracle must agree exactly, and
+// containment-scoped context queries must agree as well.
 func TestParallelSequentialOracleEquivalence(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Docs = 120
@@ -53,9 +51,6 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 	par := open(catalog.Options{QueryWorkers: 8, ParallelRowThreshold: -1})
 	// Forced sequential: the pre-fan-out code path.
 	seq := open(catalog.Options{QueryWorkers: 1})
-	// Row-at-a-time oracle path: bitmaps off, volcano iterators between
-	// the Figure-4 stages.
-	rows := open(catalog.Options{DisableBitmaps: true})
 
 	ont, err := ontology.Parse(ontology.CFKeywords)
 	if err != nil {
@@ -116,15 +111,8 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sequential evaluate: %v", tc.name, err)
 		}
-		rids, err := rows.Evaluate(tc.q)
-		if err != nil {
-			t.Fatalf("%s: row-path evaluate: %v", tc.name, err)
-		}
 		if !equalIDs(pids, sids) {
 			t.Errorf("%s: parallel %v != sequential %v", tc.name, pids, sids)
-		}
-		if !equalIDs(pids, rids) {
-			t.Errorf("%s: bitmap %v != row path %v", tc.name, pids, rids)
 		}
 		if !equalIDs(pids, want) {
 			t.Errorf("%s: catalog %v != DOM oracle %v", tc.name, pids, want)
@@ -162,7 +150,7 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 	// then context-scoped evaluation must equal oracle ∩ scope.
 	scope := map[int64]bool{}
 	var rootID int64
-	for _, c := range []*catalog.Catalog{par, seq, rows} {
+	for _, c := range []*catalog.Catalog{par, seq} {
 		root, err := c.CreateCollection("experiment", "lab", 0)
 		if err != nil {
 			t.Fatal(err)
@@ -203,15 +191,8 @@ func TestParallelSequentialOracleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sequential context evaluate: %v", tc.name, err)
 		}
-		rids, err := rows.EvaluateInContext(rootID, tc.q)
-		if err != nil {
-			t.Fatalf("%s: row-path context evaluate: %v", tc.name, err)
-		}
 		if !equalIDs(pids, sids) {
 			t.Errorf("%s: scoped parallel %v != sequential %v", tc.name, pids, sids)
-		}
-		if !equalIDs(pids, rids) {
-			t.Errorf("%s: scoped bitmap %v != row path %v", tc.name, pids, rids)
 		}
 		if !equalIDs(pids, scopedWant) {
 			t.Errorf("%s: scoped catalog %v != oracle∩scope %v", tc.name, pids, scopedWant)
