@@ -65,9 +65,11 @@ replica:
 # Sharding verification under the race detector: the shard-vs-single
 # equivalence oracle (identical Figure-4 results and paging boundaries
 # across topologies), the rebalance crash matrix bracketing the
-# routing-table flip, the live-rebalance and concurrency suites, the
-# sharded wire surface, and a one-repetition smoke of the S1 scaling
-# experiment (DESIGN.md "Sharding").
+# routing-table flip, the live-rebalance, concurrency and cancellation
+# suites, the HTTP conformance suite (one route table against a
+# one-shard and a 4-shard deployment of the one service surface), and a
+# one-repetition smoke of the S1 scaling experiment (DESIGN.md
+# "Sharding").
 shard:
 	$(GO) test -race -run 'Shard|Rebalance' -count=1 ./internal/shard/ ./internal/service/
 	$(GO) run ./cmd/mdbench -exp S1 -quick

@@ -1,6 +1,9 @@
 // mdserver runs the catalog as an HTTP/XML grid metadata service over
-// the LEAD schema (or a schema DSL file). See internal/service for the
-// endpoint list.
+// the LEAD schema (or a schema DSL file). Every deployment answers the
+// same endpoint list (see internal/service): a single node — in-memory,
+// durable, snapshot-backed, or a replica — is served as a one-shard
+// cluster, whose global IDs are the catalog's own, and -shards N as an
+// owner-partitioned cluster. One listen/drain/shutdown path serves both.
 //
 //	mdserver -addr :8080
 //	mdserver -wal catalog.wal                        # durable: WAL + crash recovery
@@ -93,20 +96,41 @@ func main() {
 	if *metricsOn {
 		opts.Metrics = obs.NewRegistry()
 	}
-	if *shards > 0 || *shardDirs != "" {
+	dopts := catalog.DurabilityOptions{
+		WALPath: *walPath, CheckpointEvery: *ckptEvery,
+		GroupCommit: *groupOn, GroupCommitWait: *groupWait, GroupCommitBatch: *groupBatch,
+	}
+	// Every deployment is served as a cluster: a single node (in-memory,
+	// -wal, -load/-save, or -replica-of) is a one-shard cluster over its
+	// catalog, -shards N an owner-partitioned one.
+	var (
+		cl         *shard.Cluster
+		cat        *catalog.Catalog // the single-node catalog, for -save
+		rep        *replica.Replica
+		tailCancel context.CancelFunc
+		durable    string
+	)
+	sharded := *shards > 0 || *shardDirs != ""
+	switch {
+	case sharded:
 		if *walPath != "" || *savePath != "" || *loadPath != "" || *replicaOf != "" {
 			log.Fatal("mdserver: -shards is incompatible with -wal/-save/-load/-replica-of (each shard has its own WAL under its directory)")
 		}
-		runSharded(schema, opts, *addr, *shards, *shardRoot, *shardDirs,
-			*ckptEvery, *groupOn, *groupWait, *groupBatch, *pprofOn)
-		return
-	}
-	var (
-		cat        *catalog.Catalog
-		rep        *replica.Replica
-		tailCancel context.CancelFunc
-	)
-	if *replicaOf != "" {
+		var dirs []string
+		n := *shards
+		if *shardDirs != "" {
+			dirs = strings.Split(*shardDirs, ",")
+			if n == 0 {
+				n = len(dirs)
+			}
+		}
+		cl, err = shard.Open(shard.Options{Schema: schema, Root: *shardRoot, Shards: n, Dirs: dirs, Catalog: opts, Durability: dopts})
+		if err != nil {
+			log.Fatal("mdserver: ", err)
+		}
+		durable = fmt.Sprintf("%d-shard cluster under %s (%d objects recovered), checkpoint every %d",
+			cl.Shards(), *shardRoot, cl.ObjectCount(), *ckptEvery)
+	case *replicaOf != "":
 		if *walPath != "" || *savePath != "" || *loadPath != "" {
 			log.Fatal("mdserver: -replica-of is incompatible with -wal/-save/-load (a replica's state is the primary's log)")
 		}
@@ -119,7 +143,7 @@ func main() {
 		if err != nil {
 			log.Fatal("mdserver: ", err)
 		}
-		cat = rep.Catalog()
+		cl = rep.Cluster()
 		var tailCtx context.Context
 		tailCtx, tailCancel = context.WithCancel(context.Background())
 		go func() {
@@ -127,17 +151,22 @@ func main() {
 				log.Print("mdserver: tailer: ", err)
 			}
 		}()
-	} else {
-		dopts := catalog.DurabilityOptions{
-			WALPath: *walPath, CheckpointEvery: *ckptEvery,
-			GroupCommit: *groupOn, GroupCommitWait: *groupWait, GroupCommitBatch: *groupBatch,
-		}
+		durable = fmt.Sprintf("read replica of %s (max lag %d)", *replicaOf, *maxLag)
+	default:
 		cat, err = openCatalog(schema, opts, dopts, *loadPath)
 		if err != nil {
 			log.Fatal("mdserver: ", err)
 		}
+		cl = shard.Single(cat)
+		durable = "no durability"
+		if *walPath != "" {
+			durable = fmt.Sprintf("WAL %s, checkpoint every %d", *walPath, *ckptEvery)
+		}
 	}
-	srv := service.New(cat)
+	if *groupOn && (*walPath != "" || sharded) {
+		durable += fmt.Sprintf(", group commit (wait %v)", *groupWait)
+	}
+	srv := service.NewSharded(cl)
 	if rep != nil {
 		srv.Replica = rep
 		srv.MaxLag = *maxLag
@@ -169,8 +198,8 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM: stop accepting, drain in-flight requests, then make
-	// the final state durable (checkpoint with -wal, atomic snapshot with
-	// -save).
+	// the final state durable (a checkpoint per WAL — -wal or every
+	// shard's — or an atomic snapshot with -save).
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -186,16 +215,20 @@ func main() {
 		if tailCancel != nil {
 			tailCancel()
 		}
-		if *walPath != "" {
-			if err := cat.Close(); err != nil {
-				log.Fatal("mdserver: final checkpoint: ", err)
-			}
-			log.Printf("mdserver: final checkpoint written to %s.snap", *walPath)
-		} else if *savePath != "" {
+		if cat != nil && *walPath == "" && *savePath != "" {
 			if err := cat.SaveFile(nil, *savePath); err != nil {
 				log.Fatal("mdserver: snapshot: ", err)
 			}
 			log.Printf("mdserver: snapshot written to %s", *savePath)
+		}
+		if err := cl.Close(); err != nil {
+			log.Fatal("mdserver: final checkpoint: ", err)
+		}
+		switch {
+		case *walPath != "":
+			log.Printf("mdserver: final checkpoint written to %s.snap", *walPath)
+		case sharded:
+			log.Printf("mdserver: %d shard checkpoints written under %s", cl.Shards(), *shardRoot)
 		}
 	}()
 
@@ -204,22 +237,12 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	caching := "read caches off"
-	if cat.CachingEnabled() {
+	if cl.Shard(0).CachingEnabled() {
 		size := *cacheSize
 		if size == 0 {
 			size = catalog.DefaultCacheSize
 		}
 		caching = fmt.Sprintf("read caches %d entries/layer (/debug/cachez)", size)
-	}
-	durable := "no durability"
-	if *walPath != "" {
-		durable = fmt.Sprintf("WAL %s, checkpoint every %d", *walPath, *ckptEvery)
-		if *groupOn {
-			durable += fmt.Sprintf(", group commit (wait %v)", *groupWait)
-		}
-	}
-	if rep != nil {
-		durable = fmt.Sprintf("read replica of %s (max lag %d)", *replicaOf, *maxLag)
 	}
 	observing := "metrics off"
 	if *metricsOn {
@@ -230,74 +253,6 @@ func main() {
 	}
 	log.Printf("mdserver: schema %s, %d metadata attributes, listening on %s (concurrent reads, %d query workers, %s, %s, %s)",
 		schema.Name, len(schema.Attributes), *addr, workers, caching, durable, observing)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal("mdserver: ", err)
-	}
-	<-done
-}
-
-// runSharded serves an owner-partitioned cluster: N embedded durable
-// catalogs under -shard-root, each with its own WAL and checkpoints,
-// behind the scatter-gather router (see internal/shard). SIGINT/SIGTERM
-// drains requests and checkpoints every shard.
-func runSharded(schema *xmlschema.Schema, opts catalog.Options, addr string,
-	shards int, root, dirsCSV string, ckptEvery int,
-	groupOn bool, groupWait time.Duration, groupBatch int, pprofOn bool) {
-	var dirs []string
-	if dirsCSV != "" {
-		dirs = strings.Split(dirsCSV, ",")
-		if shards == 0 {
-			shards = len(dirs)
-		}
-	}
-	cl, err := shard.Open(shard.Options{
-		Schema:  schema,
-		Root:    root,
-		Shards:  shards,
-		Dirs:    dirs,
-		Catalog: opts,
-		Durability: catalog.DurabilityOptions{
-			CheckpointEvery: ckptEvery,
-			GroupCommit:     groupOn, GroupCommitWait: groupWait, GroupCommitBatch: groupBatch,
-		},
-	})
-	if err != nil {
-		log.Fatal("mdserver: ", err)
-	}
-
-	var handler http.Handler = service.NewSharded(cl).Handler()
-	if pprofOn {
-		handler = withProfiling(handler)
-	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           logRequests(handler),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		defer close(done)
-		<-sig
-		log.Print("mdserver: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Print("mdserver: shutdown: ", err)
-		}
-		if err := cl.Close(); err != nil {
-			log.Fatal("mdserver: final shard checkpoints: ", err)
-		}
-		log.Printf("mdserver: %d shard checkpoints written under %s", cl.Shards(), root)
-	}()
-	total := 0
-	for _, st := range cl.Stats() {
-		total += st.Objects
-	}
-	log.Printf("mdserver: schema %s, %d-shard cluster under %s (%d objects recovered), listening on %s",
-		schema.Name, cl.Shards(), root, total, addr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal("mdserver: ", err)
 	}

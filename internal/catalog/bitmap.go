@@ -32,10 +32,10 @@ const (
 // ErrInstanceLimit is wrapped by writes whose object ID or attribute
 // sequence number falls outside the instance-key envelope (object IDs
 // up to 2^43-1, sequence numbers up to 2^20-1): the document is not
-// stored. A query over rows that reached the tables without passing the
-// write-boundary check (an applied WAL frame, a loaded snapshot, or a
-// log written before the check existed) fails with it too, rather than
-// answering wrongly.
+// stored. The load paths that insert rows directly — WAL replay in
+// recovery, ApplyWAL and ImportWAL, and snapshot restore — refuse such
+// rows with it too (checkRowEnvelope), so a stored instance always
+// packs; instKey still fails closed rather than answering wrongly.
 var ErrInstanceLimit = errors.New("catalog: id outside the instance-key envelope")
 
 // instKey packs (object, seq) into one set key.
@@ -66,6 +66,32 @@ func checkEnvelope(id int64, res *core.ShredResult) error {
 	for _, seq := range []int{lo, hi} {
 		if _, err := instKey(id, int64(seq)); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// rowSeqCols names, per shredded table, the sequence columns that pack
+// with the row's object_id (column 0) into an instance key: seq_id for
+// attr_data and elem_data, child_seq and anc_seq for sub_attrs.
+var rowSeqCols = map[string][]int{
+	TAttrData: {2},
+	TElemData: {2},
+	TSubAttrs: {2, 4},
+}
+
+// checkRowEnvelope is checkEnvelope for one stored row of table
+// arriving by a load path that bypasses insertShred: a shredded row
+// whose instance cannot pack into a key is refused with
+// ErrInstanceLimit. Rows too short to carry the columns are left for
+// the table's own arity check.
+func checkRowEnvelope(table string, row relstore.Row) error {
+	for _, col := range rowSeqCols[table] {
+		if col >= len(row) {
+			return nil
+		}
+		if _, err := instKey(row[0].I, row[col].I); err != nil {
+			return fmt.Errorf("%s row: %w", table, err)
 		}
 	}
 	return nil

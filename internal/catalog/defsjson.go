@@ -113,14 +113,18 @@ func (c *Catalog) SearchPage(q *Query, offset, limit int) (resp []Response, tota
 	if err != nil {
 		return nil, 0, err
 	}
-	total = len(ids)
-	if offset >= len(ids) {
-		return nil, total, nil
+	resp, err = v.buildResponseTraced(Page(ids, offset, limit), nil)
+	return resp, len(ids), err
+}
+
+// Page returns entries [offset, offset+limit) of xs, clamped to its
+// length; limit <= 0 means no limit. It is the one offset/limit slicer
+// behind every paged result list: catalog and cluster search pages and
+// both arms of the service's POST /search.
+func Page[T any](xs []T, offset, limit int) []T {
+	xs = xs[min(max(offset, 0), len(xs)):]
+	if limit > 0 && limit < len(xs) {
+		xs = xs[:limit]
 	}
-	ids = ids[offset:]
-	if limit > 0 && limit < len(ids) {
-		ids = ids[:limit]
-	}
-	resp, err = v.buildResponseTraced(ids, nil)
-	return resp, total, err
+	return xs
 }

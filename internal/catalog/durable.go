@@ -506,12 +506,17 @@ func decodeOps(payload []byte) ([]walOp, error) {
 
 // replayOps applies one log record's operations during recovery. It
 // runs inside the recovery transaction (see OpenDurable), so each
-// record's content-based row lookups observe every earlier record.
+// record's content-based row lookups observe every earlier record. An
+// inserted or updated row outside the instance-key envelope fails the
+// record with ErrInstanceLimit.
 func (c *Catalog) replayOps(ops []walOp) error {
 	for _, op := range ops {
 		t := c.tx.Table(op.Table)
 		if t == nil {
 			return fmt.Errorf("replay references unknown table %q", op.Table)
+		}
+		if err := checkRowEnvelope(op.Table, op.Row); err != nil {
+			return fmt.Errorf("replay: %w", err)
 		}
 		switch relstore.OpKind(op.Kind) {
 		case relstore.OpInsert:

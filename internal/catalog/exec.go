@@ -13,8 +13,8 @@ import (
 // — with compressed bitmaps of packed instance keys flowing between
 // them (bitmap.go holds the set algebra). Every stored instance fits
 // the key packing: insertShred enforces the envelope at the write
-// boundary, and rows that bypassed it fail closed with
-// ErrInstanceLimit.
+// boundary and checkRowEnvelope on every load path, and instKey still
+// fails closed with ErrInstanceLimit.
 
 // execPlan compiles the query and executes the plan tree, annotating
 // every plan node with its instance set and cache outcome as it goes.

@@ -179,6 +179,9 @@ func loadSnapshot(schema *xmlschema.Schema, opts Options, r io.Reader) (*Catalog
 		for _, name := range dataTables {
 			t := c.wtab(name)
 			for _, row := range snap.Tables[name] {
+				if err := checkRowEnvelope(name, row); err != nil {
+					return fmt.Errorf("catalog: restoring %w", err)
+				}
 				if _, err := t.Insert(row); err != nil {
 					return fmt.Errorf("catalog: restoring %s: %w", name, err)
 				}

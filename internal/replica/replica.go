@@ -22,6 +22,7 @@ import (
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/retry"
+	"github.com/gridmeta/hybridcat/internal/shard"
 	"github.com/gridmeta/hybridcat/internal/wal"
 	"github.com/gridmeta/hybridcat/internal/xmlschema"
 )
@@ -60,14 +61,15 @@ type Stats struct {
 	Bootstraps uint64 `json:"bootstraps"`
 }
 
-// Replica tails a primary into a live follower catalog. It satisfies
-// service.ReplicaSource, so a service.Server can serve reads from it
-// directly.
+// Replica tails a primary into a live follower catalog, served as a
+// one-shard cluster (Cluster): a re-bootstrap swaps the fresh follower
+// into the cluster's slot. It satisfies service.ReplicaSource, so a
+// service.Server over Cluster() reports its lag directly.
 type Replica struct {
 	opts   Options
 	client *http.Client
 
-	cat        atomic.Pointer[catalog.Catalog]
+	cl         *shard.Cluster
 	primarySeq atomic.Uint64
 	polls      atomic.Uint64
 	records    atomic.Uint64
@@ -92,11 +94,10 @@ func New(opts Options) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{opts: opts, client: opts.Client}
+	r := &Replica{opts: opts, client: opts.Client, cl: shard.Single(c)}
 	if r.client == nil {
 		r.client = http.DefaultClient
 	}
-	r.cat.Store(c)
 	if reg := opts.Catalog.Metrics; reg != nil {
 		reg.GaugeFunc("replica_applied_seq", func() int64 { return int64(r.AppliedSeq()) })
 		reg.GaugeFunc("replica_lag_records", func() int64 {
@@ -110,14 +111,17 @@ func New(opts Options) (*Replica, error) {
 	return r, nil
 }
 
+// Cluster returns the one-shard cluster serving the follower's reads.
+func (r *Replica) Cluster() *shard.Cluster { return r.cl }
+
 // Catalog returns the follower catalog currently serving reads. A
 // re-bootstrap swaps in a fresh catalog; callers must re-fetch per
 // operation rather than caching the pointer.
-func (r *Replica) Catalog() *catalog.Catalog { return r.cat.Load() }
+func (r *Replica) Catalog() *catalog.Catalog { return r.cl.Shard(0) }
 
 // AppliedSeq is the replication cursor: the last primary record whose
 // effects local readers can see.
-func (r *Replica) AppliedSeq() uint64 { return r.cat.Load().AppliedSeq() }
+func (r *Replica) AppliedSeq() uint64 { return r.Catalog().AppliedSeq() }
 
 // PrimarySeq is the primary's last observed log watermark.
 func (r *Replica) PrimarySeq() uint64 { return r.primarySeq.Load() }
@@ -181,7 +185,7 @@ func (r *Replica) Run(ctx context.Context) error {
 // decode whatever intact frames arrive, apply them. An empty poll (the
 // long-poll window expired with no commits) is a success.
 func (r *Replica) syncOnce(ctx context.Context) error {
-	c := r.cat.Load()
+	c := r.Catalog()
 	from := c.AppliedSeq()
 	u := fmt.Sprintf("%s/wal/stream?from=%d&wait_ms=%d",
 		r.opts.Primary, from, r.opts.PollWait.Milliseconds())
@@ -251,7 +255,9 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		if err != nil {
 			return err // torn/corrupt download: checksum catches it; retry
 		}
-		r.cat.Store(c)
+		if err := r.cl.Replace(0, c); err != nil {
+			return retry.Permanent(err)
+		}
 		r.bootstraps.Add(1)
 		storeMax(&r.primarySeq, c.AppliedSeq())
 		return nil

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -24,8 +22,10 @@ func (s *Server) SetOntology(o *ontology.Ontology) { s.ont = o }
 //	GET    /collections/{id}/objects         -> {"ids": [...]} (subtree)
 //	POST   /collections/containing           query JSON -> {"collection_ids": [...]}
 //
-// and extends POST /query with ?collection=N (containment scope) and
-// ?expand=1 (ontology expansion).
+// and extends POST /query and POST /search with ?collection=N
+// (containment scope) and ?expand=1 (ontology expansion). Collections
+// are owner-scoped: one lives on its owner's shard with a global ID, and
+// a parent_id or membership naming another shard answers 422.
 func (s *Server) registerCollectionRoutes(mux *http.ServeMux) {
 	s.route(mux, "POST /collections", s.handleCreateCollection)
 	s.route(mux, "GET /collections", s.handleListCollections)
@@ -43,11 +43,11 @@ type createCollectionReq struct {
 
 func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) {
 	var req createCollectionReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
-	id, err := s.cat().CreateCollection(req.Name, req.Owner, req.ParentID)
+	id, err := s.cl.CreateCollection(req.Name, req.Owner, req.ParentID)
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return
@@ -62,7 +62,7 @@ func (s *Server) handleListCollections(w http.ResponseWriter, _ *http.Request) {
 		Owner    string `json:"owner"`
 		ParentID int64  `json:"parent_id"`
 	}
-	infos := s.cat().Collections()
+	infos := s.cl.Collections()
 	out := make([]coll, 0, len(infos))
 	for _, c := range infos {
 		out = append(out, coll{c.ID, c.Name, c.Owner, c.ParentID})
@@ -91,16 +91,16 @@ func (s *Server) handleMembership(add bool) http.HandlerFunc {
 			return
 		}
 		if add {
-			if err := s.cat().AddToCollection(cid, oid); err != nil {
+			if err := s.cl.AddToCollection(cid, oid); err != nil {
 				writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 				return
 			}
 			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 			return
 		}
-		removed, err := s.cat().RemoveFromCollection(cid, oid)
+		removed, err := s.cl.RemoveFromCollection(cid, oid)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"removed": removed})
@@ -113,7 +113,7 @@ func (s *Server) handleCollectionObjects(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ids, err := s.cat().CollectionObjects(cid)
+	ids, err := s.cl.CollectionObjects(cid)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -129,14 +129,9 @@ func (s *Server) handleContaining(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q = s.maybeExpand(r, q)
-	ids, err := s.cat().CollectionsContaining(q)
+	ids, err := s.cl.CollectionsContaining(q, fanout(r))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
 	if ids == nil {
@@ -153,16 +148,20 @@ func (s *Server) maybeExpand(r *http.Request, q *catalog.Query) *catalog.Query {
 	return q
 }
 
-// evaluateScoped runs the query, optionally scoped to ?collection=N.
-// The request's context rides along: when the client disconnects, the
-// pipeline aborts at its next stage boundary.
-func (s *Server) evaluateScoped(r *http.Request, q *catalog.Query) ([]int64, error) {
+// fanout reports whether the request forces the fan-out read (?fanout=1).
+func fanout(r *http.Request) bool { return r.URL.Query().Get("fanout") == "1" }
+
+// evaluate runs a structural query, scoped to ?collection=N when given
+// (routed to the collection's shard) and otherwise routed by owner or
+// fanned out. The request's context rides along: when the client
+// disconnects, every shard's pipeline aborts at its next stage boundary.
+func (s *Server) evaluate(r *http.Request, q *catalog.Query) ([]int64, error) {
 	if cs := r.URL.Query().Get("collection"); cs != "" {
 		cid, err := strconv.ParseInt(cs, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("service: bad collection: %w", err)
 		}
-		return s.cat().EvaluateInContextCtx(r.Context(), cid, q)
+		return s.cl.EvaluateInCollection(r.Context(), cid, q)
 	}
-	return s.cat().EvaluateContext(r.Context(), q)
+	return s.cl.EvaluateContext(r.Context(), q, fanout(r))
 }

@@ -6,13 +6,14 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/obs"
 )
 
 // The debug and observability surface:
 //
 //	GET /metrics          Prometheus 0.0.4 text exposition of the
-//	                      catalog's metrics registry (?format=json for
+//	                      cluster's metrics registry (?format=json for
 //	                      the JSON rendering); 404 when metrics are off.
 //	GET /debug/tracez     the slowest recent query traces with their
 //	                      Figure-4 stage timings (?reset=1 clears the
@@ -22,17 +23,23 @@ import (
 //	GET /debug/durabilityz  WAL/checkpoint/recovery counters (zeroes
 //	                      when the catalog is not durable).
 //
-// Every JSON debug endpoint goes through debugHandler so they share
+// The /debug endpoints report one shard's catalog, ?shard=i (default
+// 0). Every JSON debug endpoint goes through debugHandler so they share
 // the standard writeJSON/writeErr content-type and error shape instead
 // of hand-rolling responses.
 
-// debugHandler adapts a snapshot function into the service's standard
-// JSON response path: the returned value is encoded with writeJSON on
+// debugHandler adapts a per-shard snapshot function into the service's
+// standard JSON response path: ?shard=i selects the catalog (400 when
+// out of range), the returned value is encoded with writeJSON on
 // success, and an error becomes the usual {"error": ...} body with 404
 // (debug snapshots fail only when the underlying subsystem is off).
-func debugHandler(fn func(r *http.Request) (any, error)) http.HandlerFunc {
+func (s *Server) debugHandler(fn func(c *catalog.Catalog, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		v, err := fn(r)
+		c, ok := s.shardParam(w, r)
+		if !ok {
+			return
+		}
+		v, err := fn(c, r)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
@@ -45,7 +52,7 @@ func debugHandler(fn func(r *http.Request) (any, error)) http.HandlerFunc {
 // the Prometheus text exposition format so a stock scraper (or curl)
 // can read it; ?format=json returns the structured State instead.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.cat().Metrics()
+	reg := s.cl.Metrics()
 	if reg == nil {
 		writeErr(w, http.StatusNotFound, errors.New("service: metrics disabled"))
 		return
@@ -59,9 +66,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = reg.WriteProm(w)
 }
 
-// handleTracez snapshots the slow-query trace ring, slowest first.
-func (s *Server) handleTracez(r *http.Request) (any, error) {
-	ring := s.cat().Traces()
+// handleTracez snapshots a shard's slow-query trace ring, slowest
+// first.
+func handleTracez(c *catalog.Catalog, r *http.Request) (any, error) {
+	ring := c.Traces()
 	if ring == nil {
 		return nil, errors.New("service: query tracing disabled")
 	}
@@ -94,7 +102,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 // request once the status code is known. With metrics off the handler
 // is returned untouched — zero overhead.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	reg := s.cat().Metrics()
+	reg := s.cl.Metrics()
 	if reg == nil {
 		return h
 	}
@@ -114,5 +122,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // middleware; the mux pattern doubles as the endpoint label, so the
 // label set is fixed at registration time.
 func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.HandleFunc(pattern, s.instrument(pattern, s.staleness(h)))
+	s.handle(mux, pattern, s.staleness(h))
+}
+
+// handle registers an instrumented handler outside the staleness
+// middleware, for the endpoints a lagging replica must still answer.
+func (s *Server) handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	mux.HandleFunc(pattern, s.instrument(pattern, h))
 }

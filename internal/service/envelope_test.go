@@ -20,8 +20,8 @@ func exhaustObjectIDs(c *catalog.Catalog) {
 }
 
 // TestIngestEnvelopeRejection422 checks that an instance-envelope
-// rejection answers POST /ingest with 422 on both handler sets and
-// stores nothing.
+// rejection answers POST /ingest with 422 on a single node and on a
+// cluster alike, and stores nothing.
 func TestIngestEnvelopeRejection422(t *testing.T) {
 	ingest := func(t *testing.T, url string) {
 		t.Helper()

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/wal"
 )
 
@@ -23,31 +22,24 @@ import (
 //	GET /wal/snapshot          bootstrap snapshot; X-WAL-Seq carries the
 //	                           watermark streaming resumes from
 //
+// Each shard has its own log, so both /wal endpoints serve one shard,
+// ?shard=i (default 0): a sharded deployment replicates shard
+// directories, not the router.
+//
 // A server running as a replica (Replica set) additionally stamps every
 // catalog response with X-Staleness-Seq (the replication cursor) and
 // answers 503 once it trails the primary beyond MaxLag records.
 
-// ReplicaSource is the read side the service serves from when running
-// as a replica: the tailer owns the follower catalog (a mid-run
-// re-bootstrap may swap it) and tracks how far behind the primary the
-// replica is.
+// ReplicaSource is the replication state the service reports when
+// running as a replica. The tailer owns the follower catalog and swaps
+// it into the served cluster's slot on a re-bootstrap; the service only
+// needs to know how far behind the primary it is.
 type ReplicaSource interface {
-	// Catalog returns the follower catalog currently serving reads.
-	Catalog() *catalog.Catalog
 	// AppliedSeq is the replica's replication cursor: the last primary
 	// log sequence whose effects local readers can see.
 	AppliedSeq() uint64
 	// PrimarySeq is the last primary log watermark the tailer observed.
 	PrimarySeq() uint64
-}
-
-// cat returns the catalog handlers serve from: the tailer's current
-// follower catalog on a replica, the wrapped primary catalog otherwise.
-func (s *Server) cat() *catalog.Catalog {
-	if s.Replica != nil {
-		return s.Replica.Catalog()
-	}
-	return s.Cat
 }
 
 // replicaLag reports the replica's cursor, the primary watermark, and
@@ -77,15 +69,16 @@ func (s *Server) staleness(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// handleHealthz reports readiness: "ok" (200), "wedged" (503) when the
-// durability layer refuses mutations, or "replica-lagging" (503) when a
-// replica trails the primary beyond its staleness bound. Always
-// answers — it is registered outside the staleness middleware — so
-// orchestration can distinguish "lagging" from "down".
+// handleHealthz reports readiness: "ok" (200), "wedged" (503) when any
+// shard's durability layer refuses mutations, or "replica-lagging"
+// (503) when a replica trails the primary beyond its staleness bound.
+// "shards" carries the cluster's shard count (1 on a single node).
+// Always answers — it is registered outside the staleness middleware —
+// so orchestration can distinguish "lagging" from "down".
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	resp := map[string]any{"status": "ok"}
+	resp := map[string]any{"status": "ok", "shards": s.cl.Shards()}
 	status := http.StatusOK
-	if err := s.cat().Wedged(); err != nil {
+	if err := s.cl.Wedged(); err != nil {
 		resp["status"] = "wedged"
 		resp["error"] = err.Error()
 		status = http.StatusServiceUnavailable
@@ -115,7 +108,10 @@ const maxStreamWait = 60 * time.Second
 // a checkpoint truncated records above ?from: the caller must bootstrap
 // from /wal/snapshot.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	c := s.cat()
+	c, ok := s.shardParam(w, r)
+	if !ok {
+		return
+	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil && r.URL.Query().Get("from") != "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad from: %w", err))
@@ -166,11 +162,15 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 // handleWALSnapshot serves a bootstrap snapshot for replicas that hit a
 // stream gap. The X-WAL-Seq header is the watermark the snapshot
 // contains; the replica resumes /wal/stream?from= there.
-func (s *Server) handleWALSnapshot(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.shardParam(w, r)
+	if !ok {
+		return
+	}
 	// Buffered so a mid-save failure yields a clean error response
 	// instead of a torn 200 body.
 	var buf bytes.Buffer
-	seq, err := s.cat().ReplicationSnapshot(&buf)
+	seq, err := c.ReplicationSnapshot(&buf)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

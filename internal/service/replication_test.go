@@ -75,13 +75,11 @@ func TestHealthzWedged(t *testing.T) {
 // fakeReplica satisfies ReplicaSource with a pinned lag, so the
 // staleness contract is testable without a live tailer.
 type fakeReplica struct {
-	cat              *catalog.Catalog
 	applied, primary uint64
 }
 
-func (f *fakeReplica) Catalog() *catalog.Catalog { return f.cat }
-func (f *fakeReplica) AppliedSeq() uint64        { return f.applied }
-func (f *fakeReplica) PrimarySeq() uint64        { return f.primary }
+func (f *fakeReplica) AppliedSeq() uint64 { return f.applied }
+func (f *fakeReplica) PrimarySeq() uint64 { return f.primary }
 
 func newReplicaServer(t *testing.T, applied, primary, maxLag uint64) (*httptest.Server, *fakeReplica) {
 	t.Helper()
@@ -89,8 +87,8 @@ func newReplicaServer(t *testing.T, applied, primary, maxLag uint64) (*httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := &fakeReplica{cat: cat, applied: applied, primary: primary}
-	srv := New(nil)
+	fr := &fakeReplica{applied: applied, primary: primary}
+	srv := New(cat)
 	srv.Replica = fr
 	srv.MaxLag = maxLag
 	ts := httptest.NewServer(srv.Handler())

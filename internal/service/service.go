@@ -15,45 +15,64 @@ import (
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/core"
 	"github.com/gridmeta/hybridcat/internal/ontology"
+	"github.com/gridmeta/hybridcat/internal/shard"
 )
 
-// Server wraps a catalog with HTTP handlers.
+// Server serves a catalog cluster over HTTP. A single node is a
+// one-shard cluster (shard.Single), so every deployment — in-memory,
+// durable, replica, N-shard — answers through this one handler set.
+// Object and collection IDs on the wire are the cluster's global IDs,
+// which equal the catalog's own IDs on a single node.
 type Server struct {
-	Cat *catalog.Catalog
+	cl  *shard.Cluster
 	ont *ontology.Ontology
 	// Replica, when non-nil, marks this server a read replica: handlers
-	// serve from Replica.Catalog(), stamp X-Staleness-Seq, and refuse
-	// reads once the replica lags past MaxLag (see replication.go).
+	// stamp X-Staleness-Seq and refuse reads once the replica lags past
+	// MaxLag (see replication.go).
 	Replica ReplicaSource
 	// MaxLag is the replica staleness bound in log records; 0 disables
 	// the lag check (responses still carry X-Staleness-Seq).
 	MaxLag uint64
 }
 
-// New wraps a catalog.
-func New(cat *catalog.Catalog) *Server { return &Server{Cat: cat} }
+// New serves one catalog as a one-shard cluster.
+func New(cat *catalog.Catalog) *Server { return NewSharded(shard.Single(cat)) }
+
+// NewSharded serves a cluster.
+func NewSharded(cl *shard.Cluster) *Server { return &Server{cl: cl} }
 
 // Handler returns the service mux:
 //
 //	POST /ingest?owner=U        XML document body -> {"id": N}
 //	POST /query                 query JSON -> {"ids": [...]}
-//	POST /search                query JSON -> {"results": [{"id", "xml"}]}
+//	POST /search                query JSON -> {"total", "results": [{"id", "xml"}]}
 //	GET  /objects               -> [{"id","name","owner","created"}]
 //	GET  /fetch?id=N            -> XML document
 //	GET  /schema                -> text ordering table (Figure 2)
-//	POST /define/attr           {"name","source","parent_id","owner"} -> definition
-//	POST /define/elem           {"name","source","attr_id","type","owner"} -> definition
+//	POST /define/attr           {"name","source","parent_id","owner"} -> definition (every shard)
+//	POST /define/elem           {"name","source","attr_id","type","owner"} -> definition (every shard)
+//	POST /objects/{id}/publish  and /unpublish
+//	GET  /defs                  -> dynamic definitions (shard 0; all shards hold the same set)
 //	GET  /metrics               -> metrics registry (Prometheus text; ?format=json)
-//	GET  /healthz               -> readiness: ok | wedged | replica-lagging
+//	GET  /healthz               -> readiness: ok | wedged | replica-lagging, plus "shards"
+//	GET  /shardz                -> per-shard dir/objects/epoch/watermark
+//	POST /rebalance?shard=N&dir=D  move shard N to directory D, live (409 on a single node)
 //	GET  /wal/stream?from=N     -> replication stream (raw WAL frames)
 //	GET  /wal/snapshot          -> replica bootstrap snapshot
 //	GET  /debug/tracez          -> slowest query traces with stage timings
 //	GET  /debug/cachez          -> read-cache counters + generations
 //	GET  /debug/durabilityz     -> WAL/checkpoint/recovery counters
 //
-// When the catalog has a metrics registry, every route is additionally
-// wrapped with per-endpoint request counters and latency histograms
-// (see instrument in debug.go).
+// plus the collection routes (collections.go). /query, /search and
+// /collections/containing route an owner-scoped query to the owner's
+// shard and fan a superuser query out; ?fanout=1 forces the fan-out
+// read, which reproduces single-catalog visibility for owner queries
+// over published data. The /wal and /debug endpoints serve one shard,
+// ?shard=i (default 0; 400 when out of range).
+//
+// When the cluster has a metrics registry, every route is wrapped with
+// per-endpoint request counters and latency histograms (see instrument
+// in debug.go).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.route(mux, "POST /ingest", s.handleIngest)
@@ -67,22 +86,41 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "POST /objects/{id}/publish", s.handlePublish(true))
 	s.route(mux, "POST /objects/{id}/unpublish", s.handlePublish(false))
 	s.route(mux, "GET /defs", s.handleDefs)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// healthz and the replication endpoints sit outside the staleness
-	// middleware: a lagging replica must still answer health checks, and
-	// the stream/snapshot endpoints are the primary's own surface.
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.route(mux, "POST /rebalance", s.handleRebalance)
 	s.route(mux, "GET /wal/stream", s.handleWALStream)
 	s.route(mux, "GET /wal/snapshot", s.handleWALSnapshot)
-	mux.HandleFunc("GET /debug/tracez", debugHandler(s.handleTracez))
-	mux.HandleFunc("GET /debug/cachez", debugHandler(func(*http.Request) (any, error) {
-		return s.cat().CacheStats(), nil
+	// The operator endpoints sit outside the staleness middleware: a
+	// lagging replica must still answer health checks and expose its
+	// own state.
+	s.handle(mux, "GET /metrics", s.handleMetrics)
+	s.handle(mux, "GET /healthz", s.handleHealthz)
+	s.handle(mux, "GET /shardz", s.handleShardz)
+	s.handle(mux, "GET /debug/tracez", s.debugHandler(handleTracez))
+	s.handle(mux, "GET /debug/cachez", s.debugHandler(func(c *catalog.Catalog, _ *http.Request) (any, error) {
+		return c.CacheStats(), nil
 	}))
-	mux.HandleFunc("GET /debug/durabilityz", debugHandler(func(*http.Request) (any, error) {
-		return s.cat().DurabilityStats(), nil
+	s.handle(mux, "GET /debug/durabilityz", s.debugHandler(func(c *catalog.Catalog, _ *http.Request) (any, error) {
+		return c.DurabilityStats(), nil
 	}))
 	s.registerCollectionRoutes(mux)
 	return mux
+}
+
+// shardParam resolves ?shard=i (default 0) to that shard's catalog for
+// the per-shard endpoints, answering 400 when it is malformed or out of
+// range.
+func (s *Server) shardParam(w http.ResponseWriter, r *http.Request) (*catalog.Catalog, bool) {
+	idx := 0
+	if v := r.URL.Query().Get("shard"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n >= s.cl.Shards() {
+			writeErr(w, http.StatusBadRequest,
+				fmt.Errorf("service: ?shard=%s out of range [0, %d)", v, s.cl.Shards()))
+			return nil, false
+		}
+		idx = n
+	}
+	return s.cl.Shard(idx), true
 }
 
 // handlePublish flips an object's published flag (§1 privacy: queries
@@ -94,12 +132,39 @@ func (s *Server) handlePublish(published bool) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := s.cat().SetPublished(id, published); err != nil {
+		if err := s.cl.SetPublished(id, published); err != nil {
 			writeErr(w, mutationStatus(err, http.StatusNotFound), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"published": published})
 	}
+}
+
+func (s *Server) handleShardz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.cl.Stats())
+}
+
+// handleRebalance moves one shard to a new directory while serving:
+// POST /rebalance?shard=N&dir=path. Synchronous — the response reports
+// the completed move (or its failure, which leaves the old shard
+// serving, as 409; a single node has no routing table and always
+// answers 409).
+func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
+	idx, err := strconv.Atoi(r.URL.Query().Get("shard"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, errors.New("service: ?shard=N required"))
+		return
+	}
+	dir := r.URL.Query().Get("dir")
+	if dir == "" {
+		writeErr(w, http.StatusBadRequest, errors.New("service: ?dir=path required"))
+		return
+	}
+	if err := s.cl.Rebalance(idx, dir); err != nil {
+		writeErr(w, http.StatusConflict, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"shard": idx, "dir": dir, "stats": s.cl.Stats()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -147,7 +212,20 @@ func mutationStatus(err error, fallback int) int {
 	if errors.Is(err, catalog.ErrReadOnlyReplica) {
 		return http.StatusServiceUnavailable
 	}
+	if errors.Is(err, shard.ErrCrossShard) {
+		return http.StatusUnprocessableEntity
+	}
 	return fallback
+}
+
+// queryStatus maps a failed read: an unknown definition or a rank
+// clause with the text index off is the client's 400, anything else a
+// server-side 500.
+func queryStatus(err error) int {
+	if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -156,12 +234,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
-	id, err := s.cat().IngestXML(r.URL.Query().Get("owner"), string(body))
+	id, err := s.cl.IngestXML(r.URL.Query().Get("owner"), string(body))
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]int64{"id": id})
+}
+
+// decodeJSONBody decodes a size-capped JSON request body into v.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
 }
 
 func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (*catalog.Query, bool) {
@@ -175,7 +258,7 @@ func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (*catalog.Que
 		writeErr(w, http.StatusBadRequest, err)
 		return nil, false
 	}
-	return q, true
+	return s.maybeExpand(r, q), true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -187,14 +270,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: ranked queries use POST /search"))
 		return
 	}
-	q = s.maybeExpand(r, q)
-	ids, err := s.evaluateScoped(r, q)
+	ids, err := s.evaluate(r, q)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
 	if ids == nil {
@@ -204,8 +282,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDefs dumps the dynamic definitions in the DefJSON wire format.
+// Definitions are broadcast to every shard, so shard 0 answers for all.
 func (s *Server) handleDefs(w http.ResponseWriter, _ *http.Request) {
-	data, err := s.cat().DumpDefinitionsJSON()
+	data, err := s.cl.Shard(0).DumpDefinitionsJSON()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -216,40 +295,25 @@ func (s *Server) handleDefs(w http.ResponseWriter, _ *http.Request) {
 
 // handleSearch runs the query and returns reconstructed documents;
 // ?offset and ?limit paginate, and the response carries the total
-// match count. A structural query pages over the ascending ID order; a
-// query with a "rank" clause returns BM25 top-k results in score order,
-// each carrying its score (see handleSearchRanked).
+// match count. A structural query pages over the ascending ID order and
+// builds documents for the page only; a query with a "rank" clause
+// returns BM25 top-k results in score order, each carrying its score.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.readQuery(w, r)
 	if !ok {
 		return
 	}
-	q = s.maybeExpand(r, q)
+	offset, limit := queryInt(r, "offset", 0), queryInt(r, "limit", 0)
 	if q.Rank != nil {
-		s.handleSearchRanked(w, r, q)
+		s.handleSearchRanked(w, r, q, offset, limit)
 		return
 	}
-	ids, err := s.evaluateScoped(r, q)
+	ids, err := s.evaluate(r, q)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
 	}
-	total := len(ids)
-	if off := queryInt(r, "offset", 0); off > 0 {
-		if off >= len(ids) {
-			ids = nil
-		} else {
-			ids = ids[off:]
-		}
-	}
-	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(ids) {
-		ids = ids[:lim]
-	}
-	resp, err := s.cat().BuildResponse(ids)
+	resp, err := s.cl.BuildResponse(catalog.Page(ids, offset, limit))
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -262,48 +326,35 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for _, rr := range resp {
 		results = append(results, result{ID: rr.ObjectID, XML: rr.XML})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
+	writeJSON(w, http.StatusOK, map[string]any{"total": len(ids), "results": results})
 }
 
 // handleSearchRanked is the ranked arm of POST /search: BM25 top-k
 // composed with the query's structural criteria, results in descending
-// score order with ?offset/?limit slicing the ranked list.
-func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *catalog.Query) {
+// score order with ?offset/?limit slicing the ranked list. A fan-out
+// read scores every shard under globally merged statistics.
+func (s *Server) handleSearchRanked(w http.ResponseWriter, r *http.Request, q *catalog.Query, offset, limit int) {
 	if r.URL.Query().Get("collection") != "" {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf("service: ranked search does not support ?collection"))
 		return
 	}
-	resp, err := s.cat().SearchRanked(r.Context(), q)
+	resp, err := s.cl.SearchRankedContext(r.Context(), q, fanout(r))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrUnknownDefinition) || errors.Is(err, catalog.ErrTextIndexDisabled) {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		writeErr(w, queryStatus(err), err)
 		return
-	}
-	total := len(resp)
-	if off := queryInt(r, "offset", 0); off > 0 {
-		if off >= len(resp) {
-			resp = nil
-		} else {
-			resp = resp[off:]
-		}
-	}
-	if lim := queryInt(r, "limit", 0); lim > 0 && lim < len(resp) {
-		resp = resp[:lim]
 	}
 	type result struct {
 		ID    int64   `json:"id"`
 		Score float64 `json:"score"`
 		XML   string  `json:"xml"`
 	}
-	results := make([]result, 0, len(resp))
-	for _, rr := range resp {
+	page := catalog.Page(resp, offset, limit)
+	results := make([]result, 0, len(page))
+	for _, rr := range page {
 		results = append(results, result{ID: rr.ObjectID, Score: rr.Score, XML: rr.XML})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "results": results})
+	writeJSON(w, http.StatusOK, map[string]any{"total": len(resp), "results": results})
 }
 
 func queryInt(r *http.Request, name string, def int) int {
@@ -325,7 +376,7 @@ func (s *Server) handleObjects(w http.ResponseWriter, _ *http.Request) {
 		Owner   string `json:"owner"`
 		Created string `json:"created"`
 	}
-	objs := s.cat().Objects()
+	objs := s.cl.Objects()
 	out := make([]obj, 0, len(objs))
 	for _, o := range objs {
 		out = append(out, obj{o.ID, o.Name, o.Owner, o.Created})
@@ -339,7 +390,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: bad id: %w", err))
 		return
 	}
-	doc, err := s.cat().FetchDocument(id)
+	doc, err := s.cl.FetchDocument(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -350,7 +401,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, row := range s.cat().Schema.OrderingTable() {
+	for _, row := range s.cl.Shard(0).Schema.OrderingTable() {
 		fmt.Fprintln(w, row)
 	}
 }
@@ -364,11 +415,11 @@ type defineAttrReq struct {
 
 func (s *Server) handleDefineAttr(w http.ResponseWriter, r *http.Request) {
 	var req defineAttrReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
-	def, err := s.cat().RegisterAttr(req.Name, req.Source, req.ParentID, req.Owner)
+	def, err := s.cl.RegisterAttr(req.Name, req.Source, req.ParentID, req.Owner)
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return
@@ -386,7 +437,7 @@ type defineElemReq struct {
 
 func (s *Server) handleDefineElem(w http.ResponseWriter, r *http.Request) {
 	var req defineElemReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(&req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeErr(w, bodyStatus(err), err)
 		return
 	}
@@ -395,7 +446,7 @@ func (s *Server) handleDefineElem(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	def, err := s.cat().RegisterElem(req.Name, req.Source, req.AttrID, dt, req.Owner)
+	def, err := s.cl.RegisterElem(req.Name, req.Source, req.AttrID, dt, req.Owner)
 	if err != nil {
 		writeErr(w, mutationStatus(err, http.StatusUnprocessableEntity), err)
 		return

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
 	"github.com/gridmeta/hybridcat/internal/textindex"
@@ -31,96 +29,62 @@ import (
 // nothing. Owner-routed ranked reads (Owner != "") score one shard with
 // its local statistics — the same locality trade-off as Evaluate.
 
-// EvaluateRanked runs a BM25 ranked query. An owner-scoped query routes
-// to the owner's shard (local statistics); a superuser query fans out
-// with globally merged statistics.
-func (cl *Cluster) EvaluateRanked(q *catalog.Query) ([]catalog.ScoredID, error) {
-	if q.Owner != "" {
-		idx := cl.ShardFor(q.Owner)
-		cl.countRoute(idx)
-		scored, err := cl.handle(idx).cat.EvaluateRanked(q)
+// EvaluateRanked runs a BM25 ranked query on the shards it reads
+// (routed by owner; fanout forces every shard). One shard scores with
+// its own statistics; a fan-out runs the two-phase global-statistics
+// scatter and merges by score, which for an owner-scoped query
+// reproduces single-catalog ranking exactly, wherever published
+// documents hash. ctx reaches every shard's scoring pass.
+func (cl *Cluster) EvaluateRanked(ctx context.Context, q *catalog.Query, fanout bool) ([]catalog.ScoredID, error) {
+	hs := cl.readSet(q.Owner, fanout)
+	if len(hs) == 1 {
+		scored, err := hs[0].cat.EvaluateRankedContext(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		return cl.globalizeScored(idx, scored), nil
+		return cl.globalizeScored(hs[0].idx, scored), nil
 	}
-	return cl.EvaluateRankedAll(q)
+	return cl.rankAll(ctx, hs, q)
 }
 
-// EvaluateRankedAll fans the ranked query out to every shard with the
-// two-phase global-statistics scatter and merges by score. For an
-// owner-scoped query this reproduces single-catalog ranking exactly,
-// wherever published documents hash.
-func (cl *Cluster) EvaluateRankedAll(q *catalog.Query) ([]catalog.ScoredID, error) {
+// rankAll is the fan-out arm of EvaluateRanked over the shards hs.
+func (cl *Cluster) rankAll(ctx context.Context, hs []*shardHandle, q *catalog.Query) ([]catalog.ScoredID, error) {
 	if q.Rank == nil || len(q.Rank.Terms) == 0 {
 		return nil, fmt.Errorf("shard: ranked query has no rank terms")
 	}
-	cl.fanout.Inc()
-	t := cl.table.Load()
-
 	// Phase 1: per-shard corpus statistics, summed into the statistics
 	// of the union catalog.
-	stats := make([]textindex.Stats, len(t.shards))
-	errs := make([]error, len(t.shards))
-	var wg sync.WaitGroup
-	for i, h := range t.shards {
-		wg.Add(1)
-		go func(i int, h *shardHandle) {
-			defer wg.Done()
-			stats[i], errs[i] = h.cat.TextStats(q.Rank.Terms)
-		}(i, h)
+	stats, err := scatter(hs, func(c *catalog.Catalog) (textindex.Stats, error) { return c.TextStats(q.Rank.Terms) })
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	var global textindex.Stats
 	for i := range stats {
 		global.Merge(stats[i])
 	}
-
-	// Phase 2: score every shard with the global statistics. A
-	// definition unknown on one shard contributes nothing, and the query
-	// fails only if every shard refuses it — mirroring scatterEvaluate.
-	perShard := make([][]catalog.ScoredID, len(t.shards))
-	for i, h := range t.shards {
-		wg.Add(1)
-		go func(i int, h *shardHandle) {
-			defer wg.Done()
-			perShard[i], errs[i] = h.cat.EvaluateRankedStats(context.Background(), q, &global)
-		}(i, h)
+	// Phase 2: score every shard with the global statistics.
+	perShard, err := scatter(hs, func(c *catalog.Catalog) ([]catalog.ScoredID, error) {
+		return c.EvaluateRankedStats(ctx, q, &global)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	unknown := 0
-	var lastUnknown error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, catalog.ErrUnknownDefinition) {
-			unknown++
-			lastUnknown = err
-			perShard[i] = nil
-			continue
-		}
-		return nil, fmt.Errorf("shard %d: %w", i, err)
-	}
-	if unknown == len(errs) {
-		return nil, lastUnknown
-	}
-
 	k := q.Rank.K
 	if k <= 0 {
 		k = catalog.DefaultRankK
 	}
-	return cl.mergeScored(perShard, k), nil
+	return cl.mergeScored(hs, perShard, k), nil
 }
 
 // globalizeScored rewrites one shard's scored local IDs to global IDs,
 // preserving rank order.
 func (cl *Cluster) globalizeScored(idx int, scored []catalog.ScoredID) []catalog.ScoredID {
+	if cl.n == 1 {
+		return scored
+	}
 	out := make([]catalog.ScoredID, len(scored))
 	for i, s := range scored {
 		out[i] = catalog.ScoredID{ID: cl.GlobalID(idx, s.ID), Score: s.Score}
@@ -128,18 +92,18 @@ func (cl *Cluster) globalizeScored(idx int, scored []catalog.ScoredID) []catalog
 	return out
 }
 
-// mergeScored merges per-shard rankings (each already score-ordered) by
-// (score desc, global ID asc) and truncates to k. Scores were computed
-// under identical global statistics, so the order matches a single
-// catalog's ranking of the union.
-func (cl *Cluster) mergeScored(perShard [][]catalog.ScoredID, k int) []catalog.ScoredID {
+// mergeScored merges per-shard rankings (each already score-ordered,
+// aligned with hs) by (score desc, global ID asc) and truncates to k.
+// Scores were computed under identical global statistics, so the order
+// matches a single catalog's ranking of the union.
+func (cl *Cluster) mergeScored(hs []*shardHandle, perShard [][]catalog.ScoredID, k int) []catalog.ScoredID {
 	total := 0
 	for _, s := range perShard {
 		total += len(s)
 	}
 	out := make([]catalog.ScoredID, 0, total)
-	for idx, scored := range perShard {
-		out = append(out, cl.globalizeScored(idx, scored)...)
+	for i, scored := range perShard {
+		out = append(out, cl.globalizeScored(hs[i].idx, scored)...)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {
@@ -153,17 +117,23 @@ func (cl *Cluster) mergeScored(perShard [][]catalog.ScoredID, k int) []catalog.S
 	return out
 }
 
-// SearchRanked evaluates a ranked query and builds the response
-// documents in score order. fanout forces the two-phase global scatter
-// regardless of owner.
-func (cl *Cluster) SearchRanked(q *catalog.Query, fanout bool) ([]catalog.RankedResponse, error) {
-	var scored []catalog.ScoredID
-	var err error
-	if fanout {
-		scored, err = cl.EvaluateRankedAll(q)
-	} else {
-		scored, err = cl.EvaluateRanked(q)
+// SearchRankedContext evaluates a ranked query (see EvaluateRanked) and
+// builds the response documents in score order. A one-shard read is
+// the shard's own Catalog.SearchRanked: ranking and documents come from
+// one pinned snapshot, with no separate statistics pass.
+func (cl *Cluster) SearchRankedContext(ctx context.Context, q *catalog.Query, fanout bool) ([]catalog.RankedResponse, error) {
+	hs := cl.readSet(q.Owner, fanout)
+	if len(hs) == 1 {
+		resp, err := hs[0].cat.SearchRanked(ctx, q)
+		if err != nil || cl.n == 1 {
+			return resp, err
+		}
+		for i := range resp {
+			resp[i].ObjectID = cl.GlobalID(hs[0].idx, resp[i].ObjectID)
+		}
+		return resp, nil
 	}
+	scored, err := cl.rankAll(ctx, hs, q)
 	if err != nil {
 		return nil, err
 	}
@@ -182,4 +152,10 @@ func (cl *Cluster) SearchRanked(q *catalog.Query, fanout bool) ([]catalog.Ranked
 		out[i] = catalog.RankedResponse{ObjectID: r.ObjectID, Score: scoreOf[r.ObjectID], XML: r.XML}
 	}
 	return out, nil
+}
+
+// SearchRanked is SearchRankedContext without a cancellation context
+// (see Evaluate).
+func (cl *Cluster) SearchRanked(q *catalog.Query, fanout bool) ([]catalog.RankedResponse, error) {
+	return cl.SearchRankedContext(context.Background(), q, fanout)
 }

@@ -156,7 +156,7 @@ func TestShardRankedEquivalence(t *testing.T) {
 	// route returns something for an owner with matching keywords.
 	q := g.RankedQuery(3)
 	q.Owner = equivOwner(3)
-	scored, err := four.EvaluateRanked(q)
+	scored, err := four.EvaluateRanked(t.Context(), q, false)
 	if err != nil {
 		t.Fatal(err)
 	}

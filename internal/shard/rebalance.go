@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"github.com/gridmeta/hybridcat/internal/catalog"
@@ -38,6 +39,9 @@ import (
 func (cl *Cluster) Rebalance(idx int, newDir string) error {
 	cl.rebMu.Lock()
 	defer cl.rebMu.Unlock()
+	if cl.routingPath == "" {
+		return fmt.Errorf("shard: a single catalog has no routing table to rebalance")
+	}
 	if idx < 0 || idx >= cl.n {
 		return fmt.Errorf("shard: no shard %d (cluster has %d)", idx, cl.n)
 	}
@@ -93,24 +97,53 @@ func (cl *Cluster) Rebalance(idx int, newDir string) error {
 
 	// Flip: persist the new routing table (the commit point), then swap
 	// the in-memory table.
-	old := cl.table.Load()
-	shards := make([]*shardHandle, len(old.shards))
-	copy(shards, old.shards)
-	shards[idx] = &shardHandle{idx: idx, dir: newDir, cat: dst, gate: new(sync.RWMutex)}
-	dirs := make([]string, len(shards))
-	for i, h := range shards {
-		dirs[i] = h.dir
-	}
-	if err := cl.saveRouting(dirs); err != nil {
+	if err := cl.swap(idx, newDir, dst); err != nil {
 		src.gate.Unlock()
 		_ = dst.Close()
 		return fmt.Errorf("shard: rebalance flip: %w", err)
 	}
-	cl.table.Store(&routing{shards: shards})
 	src.gate.Unlock()
 	cl.rebalances.Inc()
 	_ = src.cat.Close()
 	return nil
+}
+
+// swap installs cat, serving from dir, as shard idx's instance. When
+// the cluster has a routing file it is rewritten first — that rename
+// is the commit point of a move — and then the in-memory table is
+// replaced atomically: readers switch at the store, and writers blocked
+// on the old instance's gate retry against the new one (writeHandle).
+// The caller holds rebMu and the old instance's gate exclusively.
+func (cl *Cluster) swap(idx int, dir string, cat *catalog.Catalog) error {
+	shards := slices.Clone(cl.table.Load().shards)
+	shards[idx] = &shardHandle{idx: idx, dir: dir, cat: cat, gate: new(sync.RWMutex)}
+	if cl.routingPath != "" {
+		dirs := make([]string, len(shards))
+		for i, h := range shards {
+			dirs[i] = h.dir
+		}
+		if err := cl.saveRouting(dirs); err != nil {
+			return err
+		}
+	}
+	cl.table.Store(&routing{shards: shards})
+	return nil
+}
+
+// Replace swaps shard idx's catalog for cat in place, through the same
+// atomic table swap a rebalance flips with; a replica's re-bootstrap
+// installs its freshly loaded follower this way. The retired catalog is
+// not closed: lock-free readers may still be using it.
+func (cl *Cluster) Replace(idx int, cat *catalog.Catalog) error {
+	cl.rebMu.Lock()
+	defer cl.rebMu.Unlock()
+	if idx < 0 || idx >= cl.n {
+		return fmt.Errorf("shard: no shard %d (cluster has %d)", idx, cl.n)
+	}
+	old := cl.handle(idx)
+	old.gate.Lock()
+	defer old.gate.Unlock()
+	return cl.swap(idx, old.dir, cat)
 }
 
 // bootstrapShard ships src's replication snapshot into newDir and opens

@@ -173,6 +173,19 @@ func Open(opts Options) (*Cluster, error) {
 	return cl, nil
 }
 
+// Single wraps an open catalog as a one-shard cluster with no routing
+// file: global IDs equal the catalog's own IDs, every read routes to
+// the one shard, and the catalog keeps whatever durability it was
+// opened with (Close closes it). The cluster's shard_* instruments go
+// on the catalog's metrics registry. Rebalance refuses a Single
+// cluster — there is no routing table to flip.
+func Single(cat *catalog.Catalog) *Cluster {
+	cl := &Cluster{n: 1, reg: cat.Metrics()}
+	cl.table.Store(&routing{shards: []*shardHandle{{cat: cat, gate: new(sync.RWMutex)}}})
+	cl.initMetrics()
+	return cl
+}
+
 // loadOrCreateRouting reads the routing table, or writes a fresh one
 // from Shards/Dirs when the cluster is new. It returns the shard dirs.
 func (cl *Cluster) loadOrCreateRouting() ([]string, error) {
@@ -322,6 +335,9 @@ func (cl *Cluster) Metrics() *obs.Registry { return cl.reg }
 // ShardFor returns the shard index owning the given user's documents:
 // FNV-1a over the owner name, mod the shard count.
 func (cl *Cluster) ShardFor(owner string) int {
+	if cl.n == 1 {
+		return 0
+	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(owner))
 	return int(h.Sum64() % uint64(cl.n))
@@ -366,6 +382,11 @@ func (cl *Cluster) writeHandle(idx int) *shardHandle {
 		h.gate.RUnlock()
 	}
 }
+
+// Shard returns shard idx's current catalog; idx must lie in
+// [0, Shards()). Like ForEachShard, callers must not retain it across a
+// rebalance or a Replace.
+func (cl *Cluster) Shard(idx int) *catalog.Catalog { return cl.handle(idx).cat }
 
 // ForEachShard runs fn on every shard's catalog in index order,
 // stopping at the first error. It is the bootstrap hook for bulk

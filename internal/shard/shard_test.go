@@ -148,11 +148,11 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: single: %v", tc.name, err)
 		}
-		oneResp, err := one.Search(tc.q)
+		oneResp, _, err := one.SearchPage(tc.q, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: 1-shard: %v", tc.name, err)
 		}
-		fourResp, err := four.Search(tc.q)
+		fourResp, _, err := four.SearchPage(tc.q, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: 4-shard: %v", tc.name, err)
 		}
@@ -251,7 +251,7 @@ func TestShardEquivalenceOracle(t *testing.T) {
 		}
 		// The routed read must return a subset of the fan-out read: the
 		// owner's shard's view misses only published objects elsewhere.
-		routed, err := four.Search(q)
+		routed, _, err := four.SearchPage(q, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
